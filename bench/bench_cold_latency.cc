@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/statistics.h"
 #include "dvfs/evaluator.h"
 #include "dvfs/genetic.h"
 #include "models/transformer.h"
@@ -46,6 +47,8 @@
 
 namespace {
 
+using opdvfs::stats::nearestRank;
+
 using Clock = std::chrono::steady_clock;
 
 double
@@ -53,17 +56,6 @@ millisSince(Clock::time_point start)
 {
     return std::chrono::duration<double, std::milli>(Clock::now() - start)
         .count();
-}
-
-double
-percentile(std::vector<double> values, double fraction)
-{
-    if (values.empty())
-        return 0.0;
-    std::sort(values.begin(), values.end());
-    std::size_t at = static_cast<std::size_t>(
-        fraction * static_cast<double>(values.size() - 1));
-    return values[at];
 }
 
 opdvfs::models::Workload
@@ -245,17 +237,17 @@ main()
         service.drain();
     }
 
-    double cold_p50 = percentile(cold_ms, 0.5);
-    double predict_p50 = percentile(predict_ms, 0.5);
+    double cold_p50 = nearestRank(cold_ms, 0.5);
+    double predict_p50 = nearestRank(predict_ms, 0.5);
     double speedup = predict_p50 > 0.0 ? cold_p50 / predict_p50 : 0.0;
 
     std::cout << "\ncold    p50 " << cold_p50 << " ms, p95 "
-              << percentile(cold_ms, 0.95) << " ms\n"
-              << "seeded  p50 " << percentile(seeded_ms, 0.5)
+              << nearestRank(cold_ms, 0.95) << " ms\n"
+              << "seeded  p50 " << nearestRank(seeded_ms, 0.5)
               << " ms (half budget), worst score ratio "
               << seeded_ratio_min << "\n"
               << "predict p50 " << predict_p50 << " ms, p95 "
-              << percentile(predict_ms, 0.95) << " ms ("
+              << nearestRank(predict_ms, 0.95) << " ms ("
               << speedup << "x vs cold), worst refined ratio "
               << refined_ratio_min << "\n"
               << "refines: " << refine_upgrades << " upgraded, "
@@ -263,11 +255,11 @@ main()
 
     bench::BenchJson json("cold");
     json.add("cold_p50", cold_p50, "ms");
-    json.add("cold_p95", percentile(cold_ms, 0.95), "ms");
-    json.add("seeded_p50", percentile(seeded_ms, 0.5), "ms");
+    json.add("cold_p95", nearestRank(cold_ms, 0.95), "ms");
+    json.add("seeded_p50", nearestRank(seeded_ms, 0.5), "ms");
     json.add("seeded_score_ratio_min", seeded_ratio_min, "ratio");
     json.add("predict_p50", predict_p50, "ms");
-    json.add("predict_p95", percentile(predict_ms, 0.95), "ms");
+    json.add("predict_p95", nearestRank(predict_ms, 0.95), "ms");
     json.add("predict_speedup_p50", speedup, "x");
     json.add("refined_score_ratio_min", refined_ratio_min, "ratio");
     json.add("generations_saved_per_predict",

@@ -19,7 +19,6 @@
  * Emits BENCH_failover.json.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <iostream>
@@ -29,6 +28,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/statistics.h"
 #include "models/transformer.h"
 #include "net/health.h"
 #include "net/peer.h"
@@ -40,6 +40,8 @@
 
 namespace {
 
+using opdvfs::stats::nearestRank;
+
 using Clock = std::chrono::steady_clock;
 
 double
@@ -47,17 +49,6 @@ millisSince(Clock::time_point start)
 {
     return std::chrono::duration<double, std::milli>(Clock::now() - start)
         .count();
-}
-
-double
-percentile(std::vector<double> values, double fraction)
-{
-    if (values.empty())
-        return 0.0;
-    std::sort(values.begin(), values.end());
-    std::size_t at = static_cast<std::size_t>(
-        fraction * static_cast<double>(values.size() - 1));
-    return values[at];
 }
 
 opdvfs::net::WireRequest
@@ -348,8 +339,8 @@ main()
     json.add("kill_window_errors", static_cast<double>(errors), "count");
     json.add("failovers_served",
              static_cast<double>(router.failoversServed()), "count");
-    json.add("failover_p50", percentile(failover_ms, 0.5), "ms");
-    json.add("owner_hit_p50", percentile(owner_ms, 0.5), "ms");
+    json.add("failover_p50", nearestRank(failover_ms, 0.5), "ms");
+    json.add("owner_hit_p50", nearestRank(owner_ms, 0.5), "ms");
     json.add("replication_drain", replication_drain_ms, "ms");
     json.add("replication_acked", static_cast<double>(replication.acked),
              "count");

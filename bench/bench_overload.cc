@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/statistics.h"
 #include "common/random.h"
 #include "models/transformer.h"
 #include "net/client.h"
@@ -36,6 +37,8 @@
 #include "serve/service.h"
 
 namespace {
+
+using opdvfs::stats::nearestRank;
 
 using Clock = std::chrono::steady_clock;
 
@@ -208,17 +211,6 @@ runLevel(std::uint16_t port,
         client.join();
 }
 
-double
-percentile(std::vector<double> values, double fraction)
-{
-    if (values.empty())
-        return 0.0;
-    std::sort(values.begin(), values.end());
-    auto rank = static_cast<std::size_t>(
-        fraction * static_cast<double>(values.size() - 1));
-    return values[rank];
-}
-
 } // namespace
 
 int
@@ -311,7 +303,7 @@ main()
 
         double goodput = static_cast<double>(outcome.ok.load()) / wall;
         goodputs.push_back(goodput);
-        double p99 = percentile(outcome.ok_latencies, 0.99);
+        double p99 = nearestRank(outcome.ok_latencies, 0.99);
         std::cout << level << "x: offered " << level * saturation_rps
                   << " rps, goodput " << goodput << " rps, p99 " << p99
                   << " s, shed " << outcome.shed.load() << ", expired "

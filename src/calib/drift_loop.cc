@@ -126,13 +126,16 @@ runDriftLoop(const npu::NpuConfig &chip_config,
     const double initial_baseline = baseline_seconds;
     double current_baseline = baseline_seconds;
 
-    // Warm-up repetitions (unmeasured, plain SetFreqs) bring the die
-    // to thermal steady state before residuals are scored.
+    // Warm-up repetitions (unmeasured, plain SetFreqs, no records)
+    // bring the die to thermal steady state before residuals are
+    // scored.
+    profiler.setWarmup(true);
     while (ticksToSeconds(simulator.now()) < options.run.warmup_seconds) {
         enqueueIteration(chip, workload, trigger_map,
                          /*guard_set_freqs=*/false, options.guard, stats);
         simulator.run();
     }
+    profiler.setWarmup(false);
 
     DriftLoopResult result;
     double max_mhz = chip.freqTable().maxMhz();

@@ -94,6 +94,27 @@ class Rng
     std::mt19937_64 engine_;
 };
 
+/**
+ * Roulette-wheel selection over weights that stay fixed for many
+ * draws (one GA generation's scores).  reset() takes the
+ * left-to-right prefix sums once; each draw() then makes the same
+ * engine draws as Rng::weightedIndex() and, by binary search over
+ * those running sums, returns the same index, in O(log n) instead of
+ * O(n).  Weights must be non-negative, as for weightedIndex().
+ */
+class RouletteWheel
+{
+  public:
+    /** Rebuild the prefix sums from @p weights (non-empty). */
+    void reset(const std::vector<double> &weights);
+
+    /** Sample an index with probability proportional to its weight. */
+    std::size_t draw(Rng &rng) const;
+
+  private:
+    std::vector<double> prefix_;
+};
+
 } // namespace opdvfs
 
 #endif // OPDVFS_COMMON_RANDOM_H

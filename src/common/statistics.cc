@@ -43,6 +43,21 @@ quantile(std::vector<double> xs, double q)
 }
 
 double
+nearestRank(std::vector<double> xs, double q)
+{
+    if (xs.empty())
+        return 0.0;
+    const std::size_t n = xs.size();
+    // The epsilon keeps q * n that lands on an integer (0.95 * 20)
+    // from rounding up past it.
+    auto rank = static_cast<std::size_t>(std::ceil(
+        std::clamp(q, 0.0, 1.0) * static_cast<double>(n) - 1e-9));
+    rank = std::clamp<std::size_t>(rank, 1, n);
+    std::nth_element(xs.begin(), xs.begin() + (rank - 1), xs.end());
+    return xs[rank - 1];
+}
+
+double
 relativeError(double predicted, double actual)
 {
     if (actual == 0.0)

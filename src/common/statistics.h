@@ -25,6 +25,15 @@ double stddev(const std::vector<double> &xs);
  */
 double quantile(std::vector<double> xs, double q);
 
+/**
+ * Nearest-rank percentile, q in [0, 1]: the ceil(q * n)-th smallest
+ * sample (the smallest for q = 0), so the result is always an
+ * observed value and p95 of a small set is its largest sample, not
+ * its median.  The input does not need to be sorted.  Returns 0 for
+ * an empty input.
+ */
+double nearestRank(std::vector<double> xs, double q);
+
 /** |predicted - actual| / |actual|; actual must be non-zero. */
 double relativeError(double predicted, double actual);
 

@@ -149,6 +149,7 @@ searchStrategy(const StageEvaluator &evaluator,
 
     // Generation 0 has no parents: every individual is a full build.
     std::vector<GenomeLineage> lineage(population.size());
+    RouletteWheel wheel;
 
     for (int gen = 0; gen < options.generations; ++gen) {
         scoreAll(population, lineage);
@@ -183,9 +184,12 @@ searchStrategy(const StageEvaluator &evaluator,
             next_lineage.push_back(GenomeLineage{slot, {}});
         }
 
+        // Roulette selection: one prefix pass per generation, then a
+        // binary search per parent.
+        wheel.reset(scores);
         while (next.size() < population.size()) {
-            std::size_t ia = rng.weightedIndex(scores);
-            std::size_t ib = rng.weightedIndex(scores);
+            std::size_t ia = wheel.draw(rng);
+            std::size_t ib = wheel.draw(rng);
             Genome a = population[ia];
             Genome b = population[ib];
             GenomeLineage la{ia, {}};

@@ -329,12 +329,14 @@ runGuarded(const npu::NpuConfig &chip_config,
     DvfsGuard guard(options.guard, baseline_seconds);
     GuardStats &stats = guard.mutableStats();
 
-    // Warm-up repetitions (unmeasured, plain SetFreqs).
+    // Warm-up repetitions (unmeasured, plain SetFreqs, no records).
+    profiler.setWarmup(true);
     while (ticksToSeconds(simulator.now()) < options.run.warmup_seconds) {
         enqueueIteration(chip, workload, trigger_map,
                          /*guard_set_freqs=*/false, options.guard, stats);
         simulator.run();
     }
+    profiler.setWarmup(false);
 
     GuardedRunResult result;
     result.baseline_seconds = baseline_seconds;

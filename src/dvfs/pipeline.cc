@@ -89,35 +89,36 @@ EnergyPipeline::prepare(const models::Workload &workload) const
     return prepared;
 }
 
-PipelineResult
-EnergyPipeline::optimize(const models::Workload &workload) const
+SearchedStrategy
+EnergyPipeline::search(const PreparedWorkload &prepared) const
 {
-    PipelineResult result;
     npu::FreqTable table(options_.chip.freq);
-    trace::WorkloadRunner runner(options_.chip);
-
-    PreparedWorkload prepared = prepare(workload);
-    result.constants = prepared.constants;
-    result.baseline = std::move(prepared.baseline);
-    result.perf_models = std::move(prepared.perf_models);
-    result.op_power = std::move(prepared.op_power);
-    result.prep = std::move(prepared.prep);
-
-    power::PowerModel power_model(result.constants, table);
+    power::PowerModel power_model(prepared.constants, table);
 
     // --- genetic strategy search (Sect. 6.3) ------------------------------
-    StageEvaluator evaluator(result.prep.stages, result.perf_models,
-                             power_model, result.op_power, table);
+    StageEvaluator evaluator(prepared.prep.stages, prepared.perf_models,
+                             power_model, prepared.op_power, table);
     GaOptions ga_options = options_.ga;
     ga_options.perf_loss_target = options_.perf_loss_target;
     ga_options.seed =
         options_.ga_seed ? *options_.ga_seed : options_.seed * 7 + 13;
-    result.ga = searchStrategy(evaluator, result.prep.stages, ga_options);
 
-    // --- execute the strategy (Sect. 7.1) ---------------------------------
-    result.plan = planExecution(result.prep.stages, result.ga.best_mhz,
-                                result.baseline.records, options_.executor);
+    SearchedStrategy searched;
+    searched.ga = searchStrategy(evaluator, prepared.prep.stages, ga_options);
 
+    // --- plan the strategy's execution (Sect. 7.1) ------------------------
+    searched.plan = planExecution(prepared.prep.stages, searched.ga.best_mhz,
+                                  prepared.baseline.records,
+                                  options_.executor);
+    return searched;
+}
+
+void
+EnergyPipeline::assess(const models::Workload &workload,
+                       PipelineResult &result) const
+{
+    // --- execute the strategy and measure it ------------------------------
+    trace::WorkloadRunner runner(options_.chip);
     trace::RunOptions dvfs_options;
     dvfs_options.initial_mhz = result.plan.initial_mhz;
     dvfs_options.warmup_seconds = options_.warmup_seconds;
@@ -131,13 +132,29 @@ EnergyPipeline::optimize(const models::Workload &workload) const
         guarded_options.guard.perf_loss_target = options_.perf_loss_target;
         guarded_options.iterations = options_.guarded_iterations;
         guarded_options.run = dvfs_options;
-        guarded_options.run.initial_mhz = result.plan.initial_mhz;
         result.guarded = runGuarded(options_.chip, workload,
                                     result.plan.triggers,
                                     result.baseline.iteration_seconds,
                                     guarded_options);
     }
+}
 
+PipelineResult
+EnergyPipeline::optimize(const models::Workload &workload) const
+{
+    PreparedWorkload prepared = prepare(workload);
+    SearchedStrategy searched = search(prepared);
+
+    PipelineResult result;
+    result.constants = prepared.constants;
+    result.baseline = std::move(prepared.baseline);
+    result.perf_models = std::move(prepared.perf_models);
+    result.op_power = std::move(prepared.op_power);
+    result.prep = std::move(prepared.prep);
+    result.ga = std::move(searched.ga);
+    result.plan = std::move(searched.plan);
+
+    assess(workload, result);
     return result;
 }
 

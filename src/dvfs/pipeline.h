@@ -7,7 +7,17 @@
  *   strategy with fine-grained SetFreq -> measure.
  *
  * This is the library's top-level entry point; the Table 3 / Fig. 18
- * benches and the examples all drive it.
+ * benches and the examples all drive it.  It runs in three steps:
+ *
+ *   prepare()  calibrate, profile, fit the models, preprocess;
+ *   search()   GA strategy search + execution plan (no simulation);
+ *   assess()   re-execute the plan and measure it (optionally also
+ *              under the runtime guard).
+ *
+ * optimize() is the composition of the three.  A caller that only
+ * needs the strategy (the serving layer) calls prepare() and
+ * search() and gets the same strategy and GaResult bit for bit,
+ * without paying for the measurement run.
  */
 
 #ifndef OPDVFS_DVFS_PIPELINE_H
@@ -73,7 +83,7 @@ struct PipelineOptions
 };
 
 /**
- * The profile-and-model half of the pipeline: everything a strategy
+ * The profile-and-model step of the pipeline: everything a strategy
  * search — or a surrogate prediction — needs, with no search run yet.
  * Produced by EnergyPipeline::prepare(); reused by the serving layer
  * so a predicted first answer and its asynchronous GA refinement
@@ -87,6 +97,13 @@ struct PreparedWorkload
     perf::PerfModelRepository perf_models;
     std::unordered_map<std::uint64_t, power::OpPowerModel> op_power;
     PreprocessResult prep;
+};
+
+/** The search step's output: the GA's answer and how to execute it. */
+struct SearchedStrategy
+{
+    GaResult ga;
+    ExecutionPlan plan;
 };
 
 /** Everything the pipeline produced. */
@@ -131,22 +148,39 @@ class EnergyPipeline
         : options_(std::move(options))
     {}
 
-    /** Optimise one workload end to end. */
+    /**
+     * Optimise one workload end to end: prepare(), search(), then
+     * assess() the result.
+     */
     PipelineResult optimize(const models::Workload &workload) const;
 
     /**
-     * Run only the profile-and-model half: calibrate, profile at the
-     * configured frequencies, fit performance/power models and
-     * preprocess into candidate stages.  optimize() is exactly
-     * prepare() followed by the search and execution half, so results
-     * derived from a PreparedWorkload are bit-consistent with the
-     * full pipeline under the same options and seed.
+     * Step 1: calibrate (unless constants are supplied), profile at
+     * the configured frequencies, fit performance/power models and
+     * preprocess into candidate stages.
      */
     PreparedWorkload prepare(const models::Workload &workload) const;
+
+    /**
+     * Step 2: the GA strategy search (Sect. 6.3) over @p prepared and
+     * the SetFreq plan for its best strategy (Sect. 7.1).  Pure model
+     * evaluation: nothing is simulated.  Under the same options and
+     * seed the result equals optimize()'s `ga` and `plan` bit for bit.
+     */
+    SearchedStrategy search(const PreparedWorkload &prepared) const;
 
     const PipelineOptions &options() const { return options_; }
 
   private:
+    /**
+     * Step 3: execute @p result's plan on a fresh chip and measure it
+     * into `result.dvfs`; with `assess_guarded` also run the guarded
+     * multi-iteration assessment into `result.guarded`.  Reads the
+     * baseline and plan already in @p result.
+     */
+    void assess(const models::Workload &workload,
+                PipelineResult &result) const;
+
     PipelineOptions options_;
 };
 

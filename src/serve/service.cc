@@ -560,12 +560,17 @@ StrategyService::computeFresh(const StrategyRequest &request,
         ga_runs_past_deadline_.fetch_add(1, std::memory_order_relaxed);
     }
 
+    // prepare -> search (GA + plan): the pipeline's assessment run
+    // would measure the strategy, which the answer does not carry.
     dvfs::EnergyPipeline pipeline(pipeline_options);
-    dvfs::PipelineResult result = pipeline.optimize(request.workload);
+    dvfs::PreparedWorkload prepared = pipeline.prepare(request.workload);
+    dvfs::SearchedStrategy searched = pipeline.search(prepared);
     double search_seconds = elapsedSeconds(search_started);
 
-    response.strategy = result.strategy();
-    response.ga = std::move(result.ga);
+    response.strategy.stages = prepared.prep.stages;
+    response.strategy.mhz_per_stage = searched.ga.best_mhz;
+    response.strategy.plan = std::move(searched.plan);
+    response.ga = std::move(searched.ga);
     response.generations_run = pipeline_options.ga.generations;
     response.generations_saved =
         full_generations - pipeline_options.ga.generations;
@@ -588,7 +593,7 @@ StrategyService::computeFresh(const StrategyRequest &request,
         recordColdLatency(search_seconds);
     }
     // Every finished full search is a free training example.
-    observeSearch(request, result.prep, response.ga.best_mhz);
+    observeSearch(request, prepared.prep, response.ga.best_mhz);
     return response;
 }
 

@@ -35,16 +35,12 @@ Profiler::opFinished(std::uint64_t op_id, Tick start, Tick end,
         return; // Unregistered helper op (e.g. a cool-down idle tail).
     const ops::Op &op = *it->second;
 
-    OpRecord record;
-    record.op_id = op_id;
-    record.type = op.type;
-    record.category = op.hw.category;
-    record.start = start;
-    record.end = end;
-    record.f_mhz = f_mhz_at_end;
-    record.duration_s = ticksToSeconds(end - start)
+    // The draws below run in warm-up mode too (see setWarmup()): the
+    // duration factor, then one gaussian per positive truth ratio.
+    double duration_s = ticksToSeconds(end - start)
         * rng_.noiseFactor(noise_.duration_sigma);
 
+    npu::PipelineRatios ratios;
     if (op.hw.category == npu::OpCategory::Compute) {
         npu::AicoreTimeline timeline(op.hw, chip_.memorySystem());
         npu::PipelineRatios truth = timeline.ratios(f_mhz_at_end);
@@ -54,15 +50,25 @@ Profiler::opFinished(std::uint64_t op_id, Tick start, Tick end,
             return std::clamp(r + rng_.gaussian(0.0, noise_.ratio_sigma),
                               0.0, 1.0);
         };
-        record.ratios.cube = jitter(truth.cube);
-        record.ratios.vector = jitter(truth.vector);
-        record.ratios.scalar = jitter(truth.scalar);
-        record.ratios.mte1 = jitter(truth.mte1);
-        record.ratios.mte2 = jitter(truth.mte2);
-        record.ratios.mte3 = jitter(truth.mte3);
+        ratios.cube = jitter(truth.cube);
+        ratios.vector = jitter(truth.vector);
+        ratios.scalar = jitter(truth.scalar);
+        ratios.mte1 = jitter(truth.mte1);
+        ratios.mte2 = jitter(truth.mte2);
+        ratios.mte3 = jitter(truth.mte3);
     }
+    if (warmup_)
+        return;
 
-    records_.push_back(std::move(record));
+    OpRecord &record = records_.emplace_back();
+    record.op_id = op_id;
+    record.type = op.type;
+    record.category = op.hw.category;
+    record.start = start;
+    record.end = end;
+    record.f_mhz = f_mhz_at_end;
+    record.duration_s = duration_s;
+    record.ratios = ratios;
 }
 
 } // namespace opdvfs::trace

@@ -64,8 +64,17 @@ class Profiler : public npu::NpuChip::OpObserver
     /** All records so far, in completion order. */
     const std::vector<OpRecord> &records() const { return records_; }
 
-    /** Drop accumulated records (e.g. after warm-up). */
+    /** Drop accumulated records. */
     void clear() { records_.clear(); }
+
+    /**
+     * Warm-up mode: finished operators make exactly the noise draws
+     * a record would (same count, same order), but no record is
+     * built or kept.  The noise stream therefore stays where a
+     * record-then-clear() warm-up would leave it, and the records of
+     * the measured iteration that follows are bit-identical to it.
+     */
+    void setWarmup(bool warmup) { warmup_ = warmup; }
 
   private:
     npu::NpuChip &chip_;
@@ -73,6 +82,7 @@ class Profiler : public npu::NpuChip::OpObserver
     Rng rng_;
     std::unordered_map<std::uint64_t, const ops::Op *> metadata_;
     std::vector<OpRecord> records_;
+    bool warmup_ = false;
 };
 
 } // namespace opdvfs::trace

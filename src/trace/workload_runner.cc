@@ -60,14 +60,16 @@ WorkloadRunner::run(const models::Workload &workload,
     PowerSampler sampler(chip, options.sample_period, options.sampler_noise,
                          options.seed * 104729 + 2);
 
-    // Warm-up repetitions until thermal steady state.
+    // Warm-up repetitions until thermal steady state; nothing of them
+    // is read, so the profiler keeps no records.
+    profiler.setWarmup(true);
     while (ticksToSeconds(simulator.now()) < options.warmup_seconds) {
         enqueueIteration(chip, workload, trigger_map);
         simulator.run();
     }
+    profiler.setWarmup(false);
 
     // Measured iteration.
-    profiler.clear();
     chip.resetEnergy();
     std::uint64_t set_freq_before = chip.dvfs().setFreqCount();
     sampler.start(/*stop_when_idle=*/true);

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "dvfs/evaluator.h"
 #include "dvfs/genetic.h"
 #include "npu/freq_table.h"
@@ -145,6 +148,51 @@ TEST(GaOptionsTest, RefinementNeverHurts)
     GaResult result =
         searchStrategy(*fixture.evaluator, fixture.stages, options);
     EXPECT_GE(result.best_score, result.pre_refine_score);
+}
+
+/** FNV-1a over the bit patterns of @p values. */
+std::uint64_t
+fnv1a(const std::vector<double> &values)
+{
+    std::uint64_t hash = 1469598103934665603ULL;
+    for (double v : values) {
+        auto word = std::bit_cast<std::uint64_t>(v);
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (word >> (8 * byte)) & 0xffU;
+            hash *= 1099511628211ULL;
+        }
+    }
+    return hash;
+}
+
+TEST(GaOptionsTest, GoldenSearchIsPinnedBitForBit)
+{
+    // Recorded from the linear-scan roulette (Rng::weightedIndex per
+    // parent).  Every engine draw and every selected parent feeds the
+    // result, so a selection change that is not draw-for-draw
+    // identical moves these bits.
+    TinyFixture fixture(24);
+    GaOptions options = smallGa();
+    options.population = 40;
+    options.generations = 80;
+    options.refine_sweeps = 2;
+    options.perf_loss_target = 0.02;
+    options.seed = 2024;
+    GaResult result =
+        searchStrategy(*fixture.evaluator, fixture.stages, options);
+
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.best_score),
+              0x3d4667f60556db59ULL);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.pre_refine_score),
+              0x3d4667f60556db59ULL);
+    EXPECT_EQ(result.converged_at, 70);
+    EXPECT_EQ(result.best_mhz,
+              (std::vector<double>{1700, 1000, 1700, 1000, 1700, 1000,
+                                   1800, 1000, 1700, 1000, 1700, 1000,
+                                   1700, 1000, 1800, 1000, 1800, 1000,
+                                   1700, 1000, 1700, 1000, 1800, 1000}));
+    EXPECT_EQ(result.score_history.size(), 80u);
+    EXPECT_EQ(fnv1a(result.score_history), 0xe9da7c54d3c7393eULL);
 }
 
 TEST(GaOptionsTest, InvalidOptionsThrow)

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/random.h"
@@ -99,6 +102,47 @@ TEST(Rng, WeightedIndexAllZeroFallsBackToUniform)
         counts[rng.weightedIndex(weights)]++;
     for (int c : counts)
         EXPECT_GT(c, 600);
+}
+
+TEST(RouletteWheel, DrawsTheSameIndicesAsWeightedIndex)
+{
+    // Two generators in lock-step: any difference in engine draws or
+    // in the returned index shows up as a mismatch.
+    Rng shape(29);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::size_t n = 1 + shape.index(64);
+        std::vector<double> weights(n);
+        for (auto &w : weights) {
+            // A third of the entries are zero; the rest span decades,
+            // like GA scores.
+            double decade = static_cast<double>(shape.index(6));
+            w = shape.chance(1.0 / 3.0)
+                ? 0.0
+                : shape.uniform(0.0, 1.0) * std::pow(10.0, -decade);
+        }
+        if (trial % 10 == 0)
+            std::fill(weights.begin(), weights.end(), 0.0);
+
+        RouletteWheel wheel;
+        wheel.reset(weights);
+        std::uint64_t seed = 1000 + static_cast<std::uint64_t>(trial);
+        Rng reference(seed), fast(seed);
+        for (int draw = 0; draw < 50; ++draw) {
+            ASSERT_EQ(wheel.draw(fast), reference.weightedIndex(weights))
+                << "trial " << trial << " draw " << draw;
+        }
+        EXPECT_EQ(fast.engine()(), reference.engine()());
+    }
+}
+
+TEST(RouletteWheel, ResetReplacesTheWeights)
+{
+    RouletteWheel wheel;
+    wheel.reset({1.0, 1.0, 1.0});
+    wheel.reset({0.0, 5.0});
+    Rng rng(31);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(wheel.draw(rng), 1u);
 }
 
 TEST(Rng, ChanceExtremes)

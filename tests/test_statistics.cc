@@ -40,6 +40,35 @@ TEST(Statistics, QuantileEdgeCases)
     EXPECT_DOUBLE_EQ(quantile({1.0, 2.0}, 2.0), 2.0);
 }
 
+TEST(Statistics, NearestRankReturnsTheCeilRankedSample)
+{
+    std::vector<double> xs = {4.0, 1.0, 3.0, 2.0}; // unsorted on purpose
+    EXPECT_DOUBLE_EQ(nearestRank(xs, 0.5), 2.0);  // ceil(2.0) = 2nd
+    EXPECT_DOUBLE_EQ(nearestRank(xs, 0.51), 3.0); // ceil(2.04) = 3rd
+    EXPECT_DOUBLE_EQ(nearestRank(xs, 0.25), 1.0);
+    EXPECT_DOUBLE_EQ(nearestRank(xs, 1.0), 4.0);
+    // A high percentile of a small set is its largest sample, not the
+    // median a truncated (n - 1) * q index would give.
+    EXPECT_DOUBLE_EQ(nearestRank({10.0, 30.0, 20.0}, 0.95), 30.0);
+    EXPECT_DOUBLE_EQ(nearestRank({10.0, 30.0, 20.0}, 0.5), 20.0);
+    // q * n landing on an integer does not round up past it.
+    std::vector<double> twenty;
+    for (int i = 1; i <= 20; ++i)
+        twenty.push_back(static_cast<double>(i));
+    EXPECT_DOUBLE_EQ(nearestRank(twenty, 0.95), 19.0);
+    EXPECT_DOUBLE_EQ(nearestRank(twenty, 0.99), 20.0);
+}
+
+TEST(Statistics, NearestRankEdgeCases)
+{
+    EXPECT_DOUBLE_EQ(nearestRank({}, 0.5), 0.0);
+    EXPECT_DOUBLE_EQ(nearestRank({7.0}, 0.99), 7.0);
+    EXPECT_DOUBLE_EQ(nearestRank({7.0, 9.0}, 0.0), 7.0);
+    // Out-of-range q clamps.
+    EXPECT_DOUBLE_EQ(nearestRank({1.0, 2.0}, 2.0), 2.0);
+    EXPECT_DOUBLE_EQ(nearestRank({1.0, 2.0}, -1.0), 1.0);
+}
+
 TEST(Statistics, RelativeError)
 {
     EXPECT_DOUBLE_EQ(relativeError(110.0, 100.0), 0.1);

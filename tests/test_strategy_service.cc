@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <future>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "dvfs/pipeline.h"
 #include "dvfs/strategy_io.h"
 #include "models/transformer.h"
 #include "npu/freq_table.h"
@@ -105,6 +107,81 @@ TEST(StrategyService, ColdThenExactHit)
     EXPECT_EQ(stats.cache_size, 1u);
     EXPECT_EQ(stats.generations_saved, 24u);
     EXPECT_GT(stats.p95_service_seconds, 0.0);
+}
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+void
+expectSameEvaluation(const dvfs::StrategyEvaluation &a,
+                     const dvfs::StrategyEvaluation &b)
+{
+    EXPECT_EQ(bits(a.seconds), bits(b.seconds));
+    EXPECT_EQ(bits(a.aicore_joules), bits(b.aicore_joules));
+    EXPECT_EQ(bits(a.soc_joules), bits(b.soc_joules));
+    EXPECT_EQ(bits(a.aicore_watts), bits(b.aicore_watts));
+    EXPECT_EQ(bits(a.soc_watts), bits(b.soc_watts));
+    EXPECT_EQ(bits(a.delta_t), bits(b.delta_t));
+}
+
+TEST(StrategyService, ColdAnswerEqualsTheFullPipelineBitForBit)
+{
+    // The service runs only the pipeline's prepare and search steps
+    // (no measurement run); what it serves must be exactly what
+    // optimize() produces for the same options and seed.
+    ServiceOptions options = fastOptions(2);
+    StrategyService service(options);
+    StrategyRequest request;
+    request.workload = testWorkload(256);
+    request.seed = 5;
+    request.perf_loss_target = 0.03;
+    StrategyResponse cold = service.submit(request).get();
+    ASSERT_EQ(cold.provenance, Provenance::Cold);
+
+    dvfs::PipelineOptions pipeline_options = options.pipeline;
+    pipeline_options.seed = request.seed;
+    pipeline_options.perf_loss_target = request.perf_loss_target;
+    dvfs::PipelineResult full =
+        dvfs::EnergyPipeline(pipeline_options).optimize(request.workload);
+
+    const dvfs::GaResult &a = cold.ga;
+    const dvfs::GaResult &b = full.ga;
+    EXPECT_EQ(a.best_genome, b.best_genome);
+    ASSERT_EQ(a.best_mhz.size(), b.best_mhz.size());
+    for (std::size_t s = 0; s < a.best_mhz.size(); ++s)
+        EXPECT_EQ(bits(a.best_mhz[s]), bits(b.best_mhz[s]));
+    EXPECT_EQ(bits(a.best_score), bits(b.best_score));
+    EXPECT_EQ(bits(a.pre_refine_score), bits(b.pre_refine_score));
+    EXPECT_EQ(a.converged_at, b.converged_at);
+    ASSERT_EQ(a.score_history.size(), b.score_history.size());
+    for (std::size_t g = 0; g < a.score_history.size(); ++g)
+        EXPECT_EQ(bits(a.score_history[g]), bits(b.score_history[g])) << g;
+    expectSameEvaluation(a.best_eval, b.best_eval);
+    expectSameEvaluation(a.baseline_eval, b.baseline_eval);
+
+    dvfs::Strategy expected = full.strategy();
+    const dvfs::Strategy &served = cold.strategy;
+    ASSERT_EQ(served.stages.size(), expected.stages.size());
+    for (std::size_t s = 0; s < served.stages.size(); ++s) {
+        EXPECT_EQ(served.stages[s].start, expected.stages[s].start);
+        EXPECT_EQ(served.stages[s].duration, expected.stages[s].duration);
+        EXPECT_EQ(served.stages[s].high_frequency,
+                  expected.stages[s].high_frequency);
+        EXPECT_EQ(served.stages[s].first_op, expected.stages[s].first_op);
+        EXPECT_EQ(served.stages[s].op_ids, expected.stages[s].op_ids);
+    }
+    EXPECT_EQ(served.mhz_per_stage, expected.mhz_per_stage);
+    EXPECT_EQ(bits(served.plan.initial_mhz), bits(expected.plan.initial_mhz));
+    ASSERT_EQ(served.plan.triggers.size(), expected.plan.triggers.size());
+    for (std::size_t t = 0; t < served.plan.triggers.size(); ++t) {
+        EXPECT_EQ(served.plan.triggers[t].after_op_index,
+                  expected.plan.triggers[t].after_op_index);
+        EXPECT_EQ(bits(served.plan.triggers[t].mhz),
+                  bits(expected.plan.triggers[t].mhz));
+    }
 }
 
 TEST(StrategyService, IdenticalRacingRequestsYieldIdenticalStrategies)

@@ -1,13 +1,148 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <memory>
 #include <sstream>
 
+#include "common/statistics.h"
+#include "models/cnn.h"
 #include "models/transformer.h"
+#include "sim/simulator.h"
 #include "trace/trace_export.h"
 #include "trace/workload_runner.h"
 
 namespace opdvfs::trace {
 namespace {
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/**
+ * The measurement protocol with a recording warm-up: every warm-up
+ * operator gets a full record, and the records are cleared before the
+ * measured iteration.  WorkloadRunner::run() must match it bit for
+ * bit while keeping no warm-up records.
+ */
+RunResult
+referenceRun(const npu::NpuConfig &config, const models::Workload &workload,
+             const RunOptions &options,
+             const std::vector<SetFreqTrigger> &triggers)
+{
+    std::multimap<std::size_t, double> trigger_map;
+    for (const auto &t : triggers)
+        trigger_map.emplace(t.after_op_index, t.mhz);
+    auto enqueue = [&](npu::NpuChip &chip) {
+        for (std::size_t i = 0; i < workload.iteration.size(); ++i) {
+            const ops::Op &op = workload.iteration[i];
+            chip.enqueueOp(op.hw, op.id);
+            auto range = trigger_map.equal_range(i);
+            for (auto it = range.first; it != range.second; ++it) {
+                auto event = std::make_shared<sim::SyncEvent>();
+                chip.computeStream().enqueueRecord(event);
+                chip.setFreqStream().enqueueWait(event);
+                chip.enqueueSetFreq(it->second);
+            }
+        }
+    };
+
+    sim::Simulator simulator;
+    npu::NpuConfig chip_config = config;
+    chip_config.initial_mhz = options.initial_mhz;
+    npu::NpuChip chip(simulator, chip_config);
+    Profiler profiler(chip, options.profiler_noise, options.seed * 7919 + 1);
+    profiler.registerSequence(workload.iteration);
+    PowerSampler sampler(chip, options.sample_period, options.sampler_noise,
+                         options.seed * 104729 + 2);
+
+    while (ticksToSeconds(simulator.now()) < options.warmup_seconds) {
+        enqueue(chip);
+        simulator.run();
+    }
+    // Several warm-up iterations were recorded, then thrown away.
+    EXPECT_GE(profiler.records().size(), 2 * workload.iteration.size());
+    profiler.clear();
+
+    chip.resetEnergy();
+    std::uint64_t set_freq_before = chip.dvfs().setFreqCount();
+    sampler.start(/*stop_when_idle=*/true);
+    enqueue(chip);
+    simulator.run();
+    chip.syncAccounting();
+
+    RunResult result;
+    result.set_freq_count = chip.dvfs().setFreqCount() - set_freq_before;
+    result.records = profiler.records();
+    const npu::EnergyCounters &energy = chip.energyAtLastRetire();
+    result.aicore_energy_j = energy.aicore_joules;
+    result.soc_energy_j = energy.soc_joules;
+    result.aicore_avg_w = energy.aicoreAvgWatts();
+    result.soc_avg_w = energy.socAvgWatts();
+    Tick first = result.records.front().start;
+    Tick last = 0;
+    for (const auto &r : result.records)
+        last = std::max(last, r.end);
+    result.iteration_seconds = ticksToSeconds(last - first);
+    std::vector<double> temps;
+    for (const auto &sample : sampler.samples()) {
+        if (sample.tick <= last)
+            temps.push_back(sample.temperature_c);
+    }
+    if (temps.empty()) {
+        for (const auto &sample : sampler.samples())
+            temps.push_back(sample.temperature_c);
+    }
+    result.avg_temperature_c = stats::mean(temps);
+    result.samples = sampler.samples();
+    return result;
+}
+
+void
+expectBitIdentical(const RunResult &got, const RunResult &want)
+{
+    EXPECT_EQ(bits(got.iteration_seconds), bits(want.iteration_seconds));
+    EXPECT_EQ(bits(got.aicore_energy_j), bits(want.aicore_energy_j));
+    EXPECT_EQ(bits(got.soc_energy_j), bits(want.soc_energy_j));
+    EXPECT_EQ(bits(got.aicore_avg_w), bits(want.aicore_avg_w));
+    EXPECT_EQ(bits(got.soc_avg_w), bits(want.soc_avg_w));
+    EXPECT_EQ(bits(got.avg_temperature_c), bits(want.avg_temperature_c));
+    EXPECT_EQ(got.set_freq_count, want.set_freq_count);
+
+    ASSERT_EQ(got.records.size(), want.records.size());
+    for (std::size_t i = 0; i < got.records.size(); ++i) {
+        const OpRecord &a = got.records[i];
+        const OpRecord &b = want.records[i];
+        ASSERT_EQ(a.op_id, b.op_id) << i;
+        EXPECT_EQ(a.type, b.type) << i;
+        EXPECT_EQ(a.category, b.category) << i;
+        EXPECT_EQ(a.start, b.start) << i;
+        EXPECT_EQ(a.end, b.end) << i;
+        EXPECT_EQ(bits(a.duration_s), bits(b.duration_s)) << i;
+        EXPECT_EQ(bits(a.f_mhz), bits(b.f_mhz)) << i;
+        for (auto [x, y] : {std::pair{a.ratios.cube, b.ratios.cube},
+                            std::pair{a.ratios.vector, b.ratios.vector},
+                            std::pair{a.ratios.scalar, b.ratios.scalar},
+                            std::pair{a.ratios.mte1, b.ratios.mte1},
+                            std::pair{a.ratios.mte2, b.ratios.mte2},
+                            std::pair{a.ratios.mte3, b.ratios.mte3}})
+            EXPECT_EQ(bits(x), bits(y)) << i;
+    }
+
+    ASSERT_EQ(got.samples.size(), want.samples.size());
+    for (std::size_t i = 0; i < got.samples.size(); ++i) {
+        const PowerSample &a = got.samples[i];
+        const PowerSample &b = want.samples[i];
+        EXPECT_EQ(a.tick, b.tick) << i;
+        EXPECT_EQ(bits(a.soc_watts), bits(b.soc_watts)) << i;
+        EXPECT_EQ(bits(a.aicore_watts), bits(b.aicore_watts)) << i;
+        EXPECT_EQ(bits(a.temperature_c), bits(b.temperature_c)) << i;
+        EXPECT_EQ(bits(a.f_mhz), bits(b.f_mhz)) << i;
+    }
+}
 
 class TraceTest : public ::testing::Test
 {
@@ -111,6 +246,33 @@ TEST_F(TraceTest, WarmupRaisesTemperature)
     RunResult cold_run = runner.run(workload_, cold);
     RunResult warm_run = runner.run(workload_, warm);
     EXPECT_GT(warm_run.avg_temperature_c, cold_run.avg_temperature_c + 3.0);
+}
+
+TEST_F(TraceTest, RecordFreeWarmupMatchesRecordingReference)
+{
+    models::Workload cnn = models::buildAlexnet(memory_, 3);
+    WorkloadRunner runner(config_);
+    for (const models::Workload *workload : {&workload_, &cnn}) {
+        std::size_t ops = workload->opCount();
+        std::vector<SetFreqTrigger> triggers = {{ops / 3, 1200.0},
+                                                {2 * ops / 3, 1600.0}};
+        for (double mhz : {1000.0, 1400.0, 1800.0}) {
+            for (bool with_triggers : {false, true}) {
+                SCOPED_TRACE(workload->name + " @ " + std::to_string(mhz)
+                             + (with_triggers ? " with triggers" : ""));
+                RunOptions options;
+                options.initial_mhz = mhz;
+                options.warmup_seconds = 0.3;
+                options.sample_period = kTicksPerMs;
+                options.seed = 11;
+                const auto &applied =
+                    with_triggers ? triggers : std::vector<SetFreqTrigger>{};
+                expectBitIdentical(
+                    runner.run(*workload, options, applied),
+                    referenceRun(config_, *workload, options, applied));
+            }
+        }
+    }
 }
 
 TEST_F(TraceTest, TriggersChangeFrequencyMidIteration)
